@@ -191,8 +191,20 @@ impl Dendrogram {
 }
 
 /// Run agglomerative clustering over a proximity matrix and return the full
-/// dendrogram. `O(n³)` naive implementation — n is the client count
-/// (≤ a few hundred), so this completes in microseconds-to-milliseconds.
+/// dendrogram.
+///
+/// Each step merges the closest active pair, ties broken towards the
+/// smallest slot `i`, then the smallest slot `j > i` (slots are the input
+/// rows; a merged cluster lives in the lower slot of its pair). Distances
+/// that are not finite are never chosen while a finite one remains.
+///
+/// This is Müllner's (2011) "generic" algorithm: every slot caches a lower
+/// bound on its nearest neighbour among the active slots above it, and only
+/// rows whose cache turns out stale are rescanned. It replays the naive
+/// closest-pair scan merge for merge — same pairs, same tie rule, same
+/// Lance–Williams arithmetic in the same order — so the merge list is
+/// bitwise identical to it. Worst case `O(n³)`, typically close to `O(n²)`
+/// time; `O(n²)` memory for the working matrix.
 pub fn agglomerative(matrix: &ProximityMatrix, linkage: Linkage) -> Dendrogram {
     let n = matrix.len();
     if n == 0 {
@@ -210,27 +222,49 @@ pub fn agglomerative(matrix: &ProximityMatrix, linkage: Linkage) -> Dendrogram {
     let mut id: Vec<usize> = (0..n).collect();
     let mut merges = Vec::with_capacity(n.saturating_sub(1));
 
-    for step in 0..n.saturating_sub(1) {
-        // Find the closest active pair.
-        let mut best = f32::INFINITY;
-        let mut pair = (0usize, 0usize);
-        for i in 0..n {
-            if !active[i] {
-                continue;
-            }
-            for j in (i + 1)..n {
-                if !active[j] {
-                    continue;
-                }
-                let d = dist[i * n + j];
-                if d < best {
-                    best = d;
-                    pair = (i, j);
-                }
+    // Row `x`'s exact nearest neighbour above it: the lexicographically
+    // smallest finite `(dist[x][j], j)` over active `j > x`, or
+    // `(∞, NO_NEIGHBOUR)` when there is none.
+    const NO_NEIGHBOUR: usize = usize::MAX;
+    let scan_row = |dist: &[f32], active: &[bool], x: usize| {
+        let row = &dist[x * n..(x + 1) * n];
+        let mut best = (f32::INFINITY, NO_NEIGHBOUR);
+        for j in (x + 1)..n {
+            if active[j] && row[j] < best.0 {
+                best = (row[j], j);
             }
         }
-        let (i, j) = pair;
-        let d_ij = best;
+        best
+    };
+    // Invariant: for every active slot `x`, `(mindist[x], nn[x])` is
+    // lexicographically no greater than `scan_row(x)`.
+    let (mut mindist, mut nn): (Vec<f32>, Vec<usize>) =
+        (0..n).map(|x| scan_row(&dist, &active, x)).unzip();
+
+    for step in 0..n.saturating_sub(1) {
+        // The row with the smallest `(mindist, slot)` holds the closest
+        // pair once its cached neighbour is confirmed: every other row's
+        // true minimum is at least its (larger) bound.
+        let (i, j, d_ij) = loop {
+            let mut best = f32::INFINITY;
+            let mut row = None;
+            for x in 0..n {
+                if active[x] && mindist[x] < best {
+                    best = mindist[x];
+                    row = Some(x);
+                }
+            }
+            // No finite pair left: the naive scan falls through to slot
+            // pair (0, 0) at ∞, and so must this replay.
+            let Some(i) = row else {
+                break (0, 0, f32::INFINITY);
+            };
+            let j = nn[i];
+            if active[j] && dist[i * n + j] == best {
+                break (i, j, best);
+            }
+            (mindist[i], nn[i]) = scan_row(&dist, &active, i);
+        };
         merges.push(Merge {
             a: id[i].min(id[j]),
             b: id[i].max(id[j]),
@@ -251,6 +285,16 @@ pub fn agglomerative(matrix: &ProximityMatrix, linkage: Linkage) -> Dendrogram {
         size[i] += size[j];
         active[j] = false;
         id[i] = n + step;
+        // Row i changed throughout: rescan it. Rows below i changed only in
+        // column i, so their minimum can drop only to `(d(x, i), i)`; a rise
+        // there, or losing slot j, only raises minima, which bounds allow.
+        (mindist[i], nn[i]) = scan_row(&dist, &active, i);
+        for x in 0..i {
+            let d = dist[x * n + i];
+            if active[x] && (d < mindist[x] || (d == mindist[x] && i < nn[x])) {
+                (mindist[x], nn[x]) = (d, i);
+            }
+        }
     }
     Dendrogram { n, merges }
 }
@@ -268,6 +312,205 @@ pub fn cluster_k(matrix: &ProximityMatrix, linkage: Linkage, k: usize) -> Vec<us
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestCaseError;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The reference implementation: the naive `O(n³)` closest-pair scan
+    /// that [`agglomerative`] must replay merge for merge.
+    fn naive_agglomerative(matrix: &ProximityMatrix, linkage: Linkage) -> Dendrogram {
+        let n = matrix.len();
+        if n == 0 {
+            return Dendrogram {
+                n,
+                merges: Vec::new(),
+            };
+        }
+        let mut dist: Vec<f32> = matrix.as_slice().to_vec();
+        let mut active: Vec<bool> = vec![true; n];
+        let mut size: Vec<f32> = vec![1.0; n];
+        let mut id: Vec<usize> = (0..n).collect();
+        let mut merges = Vec::with_capacity(n.saturating_sub(1));
+
+        for step in 0..n.saturating_sub(1) {
+            // Find the closest active pair.
+            let mut best = f32::INFINITY;
+            let mut pair = (0usize, 0usize);
+            for i in 0..n {
+                if !active[i] {
+                    continue;
+                }
+                for j in (i + 1)..n {
+                    if !active[j] {
+                        continue;
+                    }
+                    let d = dist[i * n + j];
+                    if d < best {
+                        best = d;
+                        pair = (i, j);
+                    }
+                }
+            }
+            let (i, j) = pair;
+            let d_ij = best;
+            merges.push(Merge {
+                a: id[i].min(id[j]),
+                b: id[i].max(id[j]),
+                distance: d_ij,
+                size: (size[i] + size[j]) as usize,
+            });
+            for k in 0..n {
+                if !active[k] || k == i || k == j {
+                    continue;
+                }
+                let d_ki = dist[k * n + i];
+                let d_kj = dist[k * n + j];
+                let nd = linkage.update(d_ki, d_kj, d_ij, size[i], size[j], size[k]);
+                dist[k * n + i] = nd;
+                dist[i * n + k] = nd;
+            }
+            size[i] += size[j];
+            active[j] = false;
+            id[i] = n + step;
+        }
+        Dendrogram { n, merges }
+    }
+
+    /// Merges as `(a, b, size, distance bits)`, so NaN compares too.
+    fn merge_bits(d: &Dendrogram) -> Vec<(usize, usize, usize, u32)> {
+        d.merges()
+            .iter()
+            .map(|m| (m.a, m.b, m.size, m.distance.to_bits()))
+            .collect()
+    }
+
+    /// [`agglomerative`] must equal the naive scan bit for bit, and so must
+    /// every cut taken from it.
+    fn check_replays_naive(m: &ProximityMatrix) -> Result<(), TestCaseError> {
+        for linkage in Linkage::ALL {
+            let fast = agglomerative(m, linkage);
+            let slow = naive_agglomerative(m, linkage);
+            prop_assert_eq!(merge_bits(&fast), merge_bits(&slow), "{:?}", linkage);
+            for merge in slow.merges() {
+                for lambda in [merge.distance, merge.distance - 0.5, merge.distance + 0.5] {
+                    prop_assert_eq!(fast.cut_at(lambda), slow.cut_at(lambda), "{:?}", linkage);
+                }
+            }
+            for k in 1..=m.len() {
+                prop_assert_eq!(fast.cut_k(k), slow.cut_k(k), "{:?} k={}", linkage, k);
+            }
+            let (fast_labels, fast_lambda) = fast.largest_gap_cut();
+            let (slow_labels, slow_lambda) = slow.largest_gap_cut();
+            prop_assert_eq!(fast_labels, slow_labels, "{:?}", linkage);
+            prop_assert_eq!(
+                fast_lambda.to_bits(),
+                slow_lambda.to_bits(),
+                "{:?}",
+                linkage
+            );
+        }
+        Ok(())
+    }
+
+    /// Euclidean distances between `n` points of `dim` coordinates each.
+    fn euclidean(n: usize, dim: usize, coords: &[f32]) -> ProximityMatrix {
+        let p = |i: usize| &coords[i * dim..(i + 1) * dim];
+        ProximityMatrix::from_fn(n, |i, j| {
+            p(i).iter()
+                .zip(p(j))
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum::<f32>()
+                .sqrt()
+        })
+    }
+
+    /// A symmetric matrix whose upper triangle is read from `table`
+    /// (row-major, `side` columns) through `value`.
+    fn table_matrix(
+        n: usize,
+        side: usize,
+        table: &[u8],
+        value: impl Fn(u8) -> f32,
+    ) -> ProximityMatrix {
+        ProximityMatrix::from_fn(n, |i, j| value(table[i * side + j]))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn replays_naive_scan_on_random_points(
+            n in 2usize..40,
+            dim in 1usize..5,
+            coords in proptest::collection::vec(-10.0f32..10.0, 160),
+        ) {
+            check_replays_naive(&euclidean(n, dim, &coords))?;
+        }
+
+        /// Distances in {0, 1, 2, 3}: nearly every step is a tie, so the
+        /// smallest-`i`-then-smallest-`j` rule decides the merge order.
+        /// `levels` skews the mix towards 3, so that some rows' nearest
+        /// neighbours sit above the closest pair and a merge can create a
+        /// new tie at a row's minimum.
+        #[test]
+        fn replays_naive_scan_on_tie_heavy_matrices(
+            n in 2usize..40,
+            levels in 4u8..12,
+            table in proptest::collection::vec(0u8..=255, 40 * 40),
+        ) {
+            let value = |v: u8| f32::from((v % levels).min(3));
+            check_replays_naive(&table_matrix(n, 40, &table, value))?;
+        }
+
+        /// ∞ and NaN distances are never chosen while a finite one remains;
+        /// once none does, both fall through to the same degenerate merge.
+        #[test]
+        fn replays_naive_scan_with_non_finite_distances(
+            n in 2usize..20,
+            table in proptest::collection::vec(0u8..6, 20 * 20),
+        ) {
+            let value = |v: u8| match v {
+                4 => f32::INFINITY,
+                5 => f32::NAN,
+                v => f32::from(v),
+            };
+            check_replays_naive(&table_matrix(n, 20, &table, value))?;
+        }
+    }
+
+    #[test]
+    fn a_tie_created_by_a_merge_goes_to_the_lower_slot() {
+        // Merging 3 into 1 brings d(0, 1) down to d(0, 2) = 1 under single
+        // linkage; the tie must go to slot 1, not to slot 0's earlier
+        // nearest neighbour 2.
+        let table = [
+            [0.0, 3.0, 1.0, 1.0],
+            [3.0, 0.0, 3.0, 0.0],
+            [1.0, 3.0, 0.0, 3.0],
+            [1.0, 0.0, 3.0, 0.0f32],
+        ];
+        let m = ProximityMatrix::from_fn(4, |i, j| table[i][j]);
+        let d = agglomerative(&m, Linkage::Single);
+        let expected = [(1, 3, 2, 0.0f32), (0, 4, 3, 1.0), (2, 5, 4, 1.0)];
+        let expected: Vec<_> = expected
+            .iter()
+            .map(|&(a, b, size, dist)| (a, b, size, dist.to_bits()))
+            .collect();
+        assert_eq!(merge_bits(&d), expected);
+        assert_eq!(
+            merge_bits(&d),
+            merge_bits(&naive_agglomerative(&m, Linkage::Single))
+        );
+    }
+
+    #[test]
+    fn replays_naive_scan_on_three_hundred_points() {
+        let (n, dim) = (300, 8);
+        let mut rng = SmallRng::seed_from_u64(300);
+        let coords: Vec<f32> = (0..n * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        check_replays_naive(&euclidean(n, dim, &coords)).unwrap();
+    }
 
     /// Two tight groups far apart on a line: {0,1,2} near 0, {3,4,5} near 100.
     fn two_groups() -> ProximityMatrix {

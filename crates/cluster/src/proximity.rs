@@ -7,8 +7,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProximityMatrix {
     n: usize,
-    /// Row-major full storage (kept simple; n is the client count, ≤ a few
-    /// hundred in every experiment).
+    /// Row-major full storage: `4·n²` bytes, 4 MB at 1000 clients. Both
+    /// halves are kept so every row reads as one contiguous slice.
     data: Vec<f32>,
 }
 

@@ -10,6 +10,7 @@ use fedclust_fl::checkpoint::{
 };
 use fedclust_fl::engine::{
     average_accuracy, evaluate_clients, init_model, sample_clients, train_round, weighted_average,
+    weighted_average_or,
 };
 use fedclust_fl::faults::Transport;
 use fedclust_fl::methods::FlMethod;
@@ -259,27 +260,31 @@ impl FedClust {
         let states: Vec<Vec<f32>> = vec![init_state.clone(); k];
 
         // The one-shot clustering artifact is the expensive, never-cheaply-
-        // recomputable part of a FedClust run: snapshot it immediately,
-        // regardless of the checkpoint cadence.
-        ckpt.save_now(&Checkpoint {
-            method: self.name().to_string(),
-            seed: cfg.seed,
-            next_round: 0,
-            meter: transport.meter().clone(),
-            telemetry: transport.telemetry(),
-            history: Vec::new(),
-            state: MethodState::FedClust {
-                federation_json: federation_json(
-                    cfg,
-                    fd,
-                    &init_state,
-                    &outcome,
-                    &representatives,
-                    &states,
-                ),
-            },
-            residuals: transport.codec_residuals(),
-        })?;
+        // recomputable part of a FedClust run: when checkpointing is on,
+        // snapshot it immediately, whatever the checkpoint cadence. When it
+        // is off, the snapshot (tens of MB of JSON at 1000 clients) is not
+        // built at all.
+        if ckpt.is_enabled() {
+            ckpt.save_now(&Checkpoint {
+                method: self.name().to_string(),
+                seed: cfg.seed,
+                next_round: 0,
+                meter: transport.meter().clone(),
+                telemetry: transport.telemetry(),
+                history: Vec::new(),
+                state: MethodState::FedClust {
+                    federation_json: federation_json(
+                        cfg,
+                        fd,
+                        &init_state,
+                        &outcome,
+                        &representatives,
+                        &states,
+                    ),
+                },
+                residuals: transport.codec_residuals(),
+            })?;
+        }
 
         self.train_clusters(
             fd,
@@ -335,16 +340,13 @@ impl FedClust {
                     None,
                     &mut transport,
                 );
-                if updates.is_empty() {
-                    // Every upload lost or quarantined: the cluster skips
-                    // this round and carries its model forward.
-                    continue;
-                }
+                // Every upload lost or quarantined, or every member without
+                // training data: the cluster carries its model forward.
                 let items: Vec<(&[f32], f32)> = updates
                     .iter()
                     .map(|u| (u.state.as_slice(), u.weight))
                     .collect();
-                *state = weighted_average(&items);
+                *state = weighted_average_or(&items, state);
             }
             if cfg.should_eval(round) {
                 let per_client =
@@ -534,6 +536,39 @@ mod tests {
             assert_eq!(rep.len(), upload);
         }
         assert_eq!(federation.labels.len(), 6);
+    }
+
+    #[test]
+    fn cluster_of_clients_without_training_data_carries_its_model_forward() {
+        // Clients 6 and 7 own no samples: their warm-up leaves θ⁰'s final
+        // layer untouched, so they cluster together, and every round their
+        // cluster's updates all weigh 0.
+        let groups: Vec<Vec<usize>> = (0..8)
+            .map(|c| match c {
+                0..=2 => (0..5).collect(),
+                3..=5 => (5..10).collect(),
+                _ => Vec::new(),
+            })
+            .collect();
+        let fd = FederatedDataset::build_grouped(
+            DatasetProfile::FmnistLike,
+            &groups,
+            &fedclust_data::federated::FederatedConfig {
+                num_clients: 8,
+                samples_per_class: 40,
+                train_fraction: 0.8,
+                seed: 5,
+            },
+        );
+        assert_eq!(fd.clients[6].train_samples(), 0);
+        let mut cfg = FlConfig::tiny(5);
+        cfg.sample_rate = 1.0;
+        let (result, federation) = FedClust::default().run_detailed(&fd, &cfg);
+        let empty = federation.labels[6];
+        assert_eq!(federation.labels[7], empty);
+        assert!(federation.labels[..6].iter().all(|&l| l != empty));
+        assert_eq!(federation.cluster_states[empty], federation.init_state);
+        assert!(result.final_acc.is_finite());
     }
 
     #[test]

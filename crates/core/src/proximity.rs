@@ -13,7 +13,7 @@ use fedclust_fl::engine::{local_train, remote_trainer, RemoteRound};
 use fedclust_fl::FlConfig;
 use fedclust_nn::optim::Sgd;
 use fedclust_nn::Model;
-use fedclust_tensor::distance::Metric;
+use fedclust_tensor::distance::{pairwise_matrix, Metric};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -138,9 +138,15 @@ pub fn collect_partial_weights_for(
 }
 
 /// Eq. 3: the m×m proximity matrix of pairwise distances between clients'
-/// partial weight vectors.
+/// partial weight vectors. Rows are computed in parallel; every entry is
+/// one `metric.eval(&weights[i], &weights[j])` with `i < j`, so the matrix
+/// is bitwise the same at any thread count.
 pub fn proximity_matrix(weights: &[Vec<f32>], metric: Metric) -> ProximityMatrix {
-    ProximityMatrix::from_fn(weights.len(), |i, j| metric.eval(&weights[i], &weights[j]))
+    let m = weights.len();
+    let full = pairwise_matrix(weights, metric);
+    // Not `from_full`: its symmetry check rejects NaN entries, which
+    // unscreened diverged partials can produce and HAC tolerates.
+    ProximityMatrix::from_fn(m, |i, j| full[i * m + j])
 }
 
 #[cfg(test)]
@@ -232,6 +238,36 @@ mod tests {
         // Final layer == last block.
         let last = WeightSelection::Block(blocks.len() - 1).extract(&model);
         assert_eq!(last, WeightSelection::FinalLayer.extract(&model));
+    }
+
+    #[test]
+    fn proximity_matrix_is_bitwise_serial_at_every_thread_count() {
+        let weights: Vec<Vec<f32>> = (0..37)
+            .map(|c| {
+                (0..9)
+                    .map(|k| ((c * 7 + k * 13) % 11) as f32 / 3.0 - 1.5)
+                    .collect()
+            })
+            .collect();
+        let bits = |m: &ProximityMatrix| -> Vec<u32> {
+            m.as_slice().iter().map(|d| d.to_bits()).collect()
+        };
+        for metric in [Metric::L2, Metric::Cosine] {
+            for n in [0, 1, 2, weights.len()] {
+                let w = &weights[..n];
+                let serial = ProximityMatrix::from_fn(n, |i, j| metric.eval(&w[i], &w[j]));
+                for threads in [1, 2, 4] {
+                    rayon::set_num_threads(threads);
+                    let parallel = proximity_matrix(w, metric);
+                    rayon::set_num_threads(1);
+                    assert_eq!(
+                        bits(&parallel),
+                        bits(&serial),
+                        "{metric:?} n={n} threads={threads}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -280,12 +280,14 @@ pub fn weighted_average(items: &[(&[f32], f32)]) -> Vec<f32> {
 }
 
 /// [`weighted_average`] with the fault-tolerant fallback: when every update
-/// of a round (or cluster) was lost or quarantined, carry `previous`
-/// forward instead of panicking. The panic in [`weighted_average`] stays
-/// for genuine empty-input bugs at call sites that cannot legitimately see
-/// an empty set.
+/// of a round (or cluster) was lost or quarantined, or every surviving
+/// update has weight 0 (its client holds no training samples), carry
+/// `previous` forward instead of panicking. The panics in
+/// [`weighted_average`] stay for genuine bugs at call sites that cannot
+/// legitimately see an empty set.
 pub fn weighted_average_or(items: &[(&[f32], f32)], previous: &[f32]) -> Vec<f32> {
-    if items.is_empty() {
+    // fedlint::allow(float-eq): exact-zero sentinel — a weight is a client's training-sample count, and 0 means it has none
+    if items.iter().all(|(_, w)| *w == 0.0) {
         previous.to_vec()
     } else {
         weighted_average(items)
@@ -413,6 +415,9 @@ mod tests {
     fn empty_average_or_carries_previous_forward() {
         let prev = vec![0.25f32, -1.5, 3.0];
         assert_eq!(weighted_average_or(&[], &prev), prev);
+        // So must a set whose every client held no training samples.
+        let a = vec![9.0f32, 9.0, 9.0];
+        assert_eq!(weighted_average_or(&[(&a, 0.0), (&a, 0.0)], &prev), prev);
         // Non-empty input must still delegate to the real average.
         let a = vec![0.0f32, 0.0, 0.0];
         let b = vec![1.0f32, 2.0, 3.0];

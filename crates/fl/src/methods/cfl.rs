@@ -22,7 +22,8 @@ use crate::checkpoint::{
 };
 use crate::config::FlConfig;
 use crate::engine::{
-    average_accuracy, evaluate_clients, init_model, sample_clients, train_round, weighted_average,
+    average_accuracy, evaluate_clients, init_model, sample_clients, train_round,
+    weighted_average_or,
 };
 use crate::faults::Transport;
 use crate::methods::FlMethod;
@@ -188,7 +189,7 @@ impl FlMethod for Cfl {
                     .iter()
                     .map(|u| (u.state.as_slice(), u.weight))
                     .collect();
-                cluster.state = weighted_average(&items);
+                cluster.state = weighted_average_or(&items, &cluster.state);
 
                 // Split condition (relative thresholds).
                 if round >= self.warmup_rounds

@@ -11,7 +11,9 @@ use crate::checkpoint::{
     check_len, run_without_checkpoints, Checkpoint, CheckpointError, Checkpointer, MethodState,
 };
 use crate::config::FlConfig;
-use crate::engine::{average_accuracy, init_model, local_train, sample_clients, weighted_average};
+use crate::engine::{
+    average_accuracy, init_model, local_train, sample_clients, weighted_average_or,
+};
 use crate::faults::Transport;
 use crate::methods::FlMethod;
 use crate::metrics::{RoundRecord, RunResult};
@@ -156,9 +158,7 @@ impl Ifca {
                     .filter(|(c, _, _)| *c == ci)
                     .map(|(_, s, w)| (s.as_slice(), *w))
                     .collect();
-                if !items.is_empty() {
-                    *state = weighted_average(&items);
-                }
+                *state = weighted_average_or(&items, state);
             }
 
             if cfg.should_eval(round) {

@@ -12,7 +12,8 @@ use crate::checkpoint::{
 };
 use crate::config::FlConfig;
 use crate::engine::{
-    average_accuracy, evaluate_clients, init_model, sample_clients, train_round, weighted_average,
+    average_accuracy, evaluate_clients, init_model, sample_clients, train_round,
+    weighted_average_or,
 };
 use crate::faults::Transport;
 use crate::methods::FlMethod;
@@ -180,16 +181,13 @@ impl Pacfl {
                     None,
                     &mut transport,
                 );
-                if updates.is_empty() {
-                    // Every upload lost or quarantined: the cluster skips
-                    // this round and carries its model forward.
-                    continue;
-                }
+                // Every upload lost or quarantined, or every member without
+                // training data: the cluster carries its model forward.
                 let items: Vec<(&[f32], f32)> = updates
                     .iter()
                     .map(|u| (u.state.as_slice(), u.weight))
                     .collect();
-                *state = weighted_average(&items);
+                *state = weighted_average_or(&items, state);
             }
 
             if cfg.should_eval(round) {

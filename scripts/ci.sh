@@ -63,6 +63,12 @@ FEDCLUST_THREADS=1 cargo test -q --test thread_equivalence
 FEDCLUST_THREADS=4 cargo test -q --test thread_equivalence
 cargo test -q -p rayon
 
+echo "== benchmark mirror =="
+# perfbench rebuilds the FedAvg and FedClust round loops from the library's
+# public pieces; its tests prove those mirrors still return a RunResult
+# bit-identical to FlMethod::run, so a change underneath them shows here.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "== thread sanitizer (best effort) =="
 # Dynamic double-check of the pool and wire suites when a nightly
 # toolchain with TSan support is available; exits 0 with a skip message
